@@ -37,10 +37,13 @@ type RunResult struct {
 	Steps    uint64
 }
 
+// DefaultMaxSteps is Run's step cap when the caller passes 0.
+const DefaultMaxSteps = 120_000_000
+
 // Run executes a compiled binary in the emulator until exit.
 func Run(bin *sbf.Binary, stdin []byte, maxSteps uint64) (*RunResult, error) {
 	if maxSteps == 0 {
-		maxSteps = 120_000_000
+		maxSteps = DefaultMaxSteps
 	}
 	be, ok := isa.ByName(bin.ISA)
 	if !ok {

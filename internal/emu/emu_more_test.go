@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -179,5 +180,106 @@ func TestFetchWindowAtPageEdge(t *testing.T) {
 	inst, err := isa.Decode(win, 0)
 	if err != nil || inst.Op != isa.OpPop {
 		t.Errorf("decode at edge: %v %v", inst, err)
+	}
+}
+
+// TestForcedCodeWriteInvalidatesICache: WriteBytesForce over already-
+// executed code must retire the cached decode, so the rewritten
+// instruction runs rather than the stale one.
+func TestForcedCodeWriteInvalidatesICache(t *testing.T) {
+	assemble := func(src string) []byte {
+		r, err := asm.Assemble(src, 0x1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Code
+	}
+	m := NewMachine()
+	m.Mem.Map(0x1000, PageSize, PermRead|PermExec)
+	m.Mem.WriteBytesForce(0x1000, assemble("mov rax, 1; ret"), PermRead|PermExec)
+	m.RIP = 0x1000
+	if _, err := m.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Regs[isa.RAX] != 1 {
+		t.Fatalf("rax = %d after the first step, want 1", m.Regs[isa.RAX])
+	}
+	m.Mem.WriteBytesForce(0x1000, assemble("mov rax, 2; ret"), PermRead|PermExec)
+	m.RIP = 0x1000
+	if _, err := m.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Regs[isa.RAX] != 2 {
+		t.Errorf("rax = %d after the forced rewrite, want 2 (stale i-cache entry ran)", m.Regs[isa.RAX])
+	}
+}
+
+// TestMprotectRevokesCachedExec: an instruction already in the i-cache
+// must still fault once mprotect drops PROT_EXEC from its page.
+func TestMprotectRevokesCachedExec(t *testing.T) {
+	main, err := asm.Assemble(`
+    movabs rbx, 0x402000
+    call rbx
+    mov rax, 10              # mprotect(0x402000, 4096, PROT_READ)
+    movabs rdi, 0x402000
+    mov rsi, 0x1000
+    mov rdx, 1
+    syscall
+    call rbx
+    mov rax, 60
+    syscall
+`, 0x401000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn, err := asm.Assemble("ret", 0x402000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine()
+	m.OS = NewOS()
+	m.Mem.Map(0x401000, PageSize, PermRead|PermExec)
+	m.Mem.WriteBytesForce(0x401000, main.Code, PermRead|PermExec)
+	m.Mem.Map(0x402000, PageSize, PermRead|PermExec)
+	m.Mem.WriteBytesForce(0x402000, fn.Code, PermRead|PermExec)
+	m.SetupStack(0x7FFF0000, 0x10000)
+	m.RIP = 0x401000
+	err = m.Run(100)
+	var mf *MemFault
+	if !errors.As(err, &mf) || mf.Op != "exec" || mf.Addr != 0x402000 {
+		t.Fatalf("run = %v, want an exec fault at 0x402000", err)
+	}
+}
+
+// TestGenerationAdvances pins which memory operations open a new fetch
+// generation, the trigger for the i-cache to re-decode and re-check exec
+// permission.
+func TestGenerationAdvances(t *testing.T) {
+	m := NewMemory()
+	steps := []struct {
+		name string
+		op   func()
+	}{
+		{"Map", func() { m.Map(0x1000, PageSize, PermRead|PermExec) }},
+		{"WriteBytesForce to an executable page", func() { m.WriteBytesForce(0x1000, []byte{0xC3}, PermRead|PermExec) }},
+		{"Protect", func() { m.Protect(0x1000, PageSize, PermRead) }},
+		{"page-creating WriteBytesForce", func() { m.WriteBytesForce(0x5000, []byte{1}, PermRead|PermWrite) }},
+	}
+	for _, s := range steps {
+		before := m.gen
+		s.op()
+		if m.gen == before {
+			t.Errorf("%s did not advance the generation", s.name)
+		}
+	}
+	// Data writes to a mapped, non-executable page change nothing a fetch
+	// can see.
+	before := m.gen
+	m.WriteBytesForce(0x5000, []byte{2}, PermRead|PermWrite)
+	if err := m.Write(0x5000, 3, 8); err != nil {
+		t.Fatal(err)
+	}
+	if m.gen != before {
+		t.Error("a data write advanced the generation")
 	}
 }

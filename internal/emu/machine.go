@@ -47,16 +47,18 @@ type Machine struct {
 	link    isa.Reg
 	hasLink bool
 
-	// icache is a direct-mapped decoded-instruction cache, invalidated
-	// when executable memory is written (self-modifying code).
-	icache    []icEntry
-	icacheGen uint64
+	// icache is a direct-mapped decoded-instruction cache. An entry is
+	// live only while the memory's fetch generation is the one it was
+	// decoded and exec-checked at, so neither self-modifying code nor a
+	// permission change (mprotect) can serve a stale entry, and a hit
+	// needs no page-table lookup.
+	icache []icEntry
 }
 
 type icEntry struct {
-	addr  uint64
-	inst  isa.Inst
-	valid bool
+	inst isa.Inst
+	addr uint64
+	gen  uint64 // Memory.gen at decode; 0 = empty slot
 }
 
 const icacheSize = 1 << 14
@@ -223,32 +225,26 @@ func (m *Machine) pop() (uint64, error) {
 	return v, nil
 }
 
-// fetch decodes the instruction at RIP, using the decode cache.
-func (m *Machine) fetch() (isa.Inst, error) {
-	if gen := m.Mem.CodeGeneration(); gen != m.icacheGen {
-		m.icacheGen = gen
-		for i := range m.icache {
-			m.icache[i].valid = false
-		}
-	}
+// fetch decodes the instruction at RIP, using the decode cache. The result
+// points into the cache slot, so it is valid only until the next fetch;
+// Step fetches once per instruction and never again before returning, so
+// the instruction it executes cannot be overwritten under it.
+func (m *Machine) fetch() (*isa.Inst, error) {
 	slot := &m.icache[(m.RIP^m.RIP>>7)&(icacheSize-1)]
-	if slot.valid && slot.addr == m.RIP {
-		// Permission may have changed (mprotect); re-check executability.
-		if m.Mem.PermAt(m.RIP)&PermExec == 0 {
-			return isa.Inst{}, &MemFault{Addr: m.RIP, Op: "exec"}
-		}
-		return slot.inst, nil
+	if slot.addr == m.RIP && slot.gen == m.Mem.gen {
+		return &slot.inst, nil
 	}
+	// FetchWindow checks exec permission at the current generation.
 	window, err := m.Mem.FetchWindow(m.RIP, 16)
 	if err != nil {
-		return isa.Inst{}, err
+		return nil, err
 	}
 	inst, err := m.be.Decode(window, m.RIP)
 	if err != nil {
-		return isa.Inst{}, fmt.Errorf("emu: decode at %#x: %w", m.RIP, err)
+		return nil, fmt.Errorf("emu: decode at %#x: %w", m.RIP, err)
 	}
-	*slot = icEntry{addr: m.RIP, inst: inst, valid: true}
-	return inst, nil
+	*slot = icEntry{inst: inst, addr: m.RIP, gen: m.Mem.gen}
+	return &slot.inst, nil
 }
 
 // Step executes one instruction. It returns exit=true when the syscall
@@ -273,7 +269,7 @@ func (m *Machine) Step() (exit bool, err error) {
 		case isa.OpAdd, isa.OpSub, isa.OpAnd, isa.OpOr, isa.OpXor,
 			isa.OpShl, isa.OpShr, isa.OpSar, isa.OpImul, isa.OpSlt, isa.OpSltu,
 			isa.OpDiv, isa.OpDivU, isa.OpRem, isa.OpRemU:
-			if err := m.stepRV3(&inst, next); err != nil {
+			if err := m.stepRV3(inst, next); err != nil {
 				return false, err
 			}
 			m.RIP = next

@@ -47,21 +47,24 @@ type Memory struct {
 	lastNum uint64
 	last    *page
 
-	// codeGen increments whenever executable bytes are written, so decoded-
-	// instruction caches can invalidate (self-modifying code).
-	codeGen uint64
+	// gen advances on every change that can alter what an instruction
+	// fetch returns: a write to an executable page (self-modifying code)
+	// and every permission change (Map, Protect, a page-creating
+	// WriteBytesForce). Decoded-instruction caches record the generation
+	// an entry was decoded and exec-checked at, and trust it only while
+	// the generation is unchanged. It starts at 1, so a zero entry never
+	// matches.
+	gen uint64
 }
-
-// CodeGeneration reports the current code-modification epoch.
-func (m *Memory) CodeGeneration() uint64 { return m.codeGen }
 
 // NewMemory returns an empty address space.
 func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64]*page)}
+	return &Memory{pages: make(map[uint64]*page), gen: 1}
 }
 
 // Map creates (or re-permissions) pages covering [addr, addr+size).
 func (m *Memory) Map(addr, size uint64, perm Perm) {
+	m.gen++
 	first := addr / PageSize
 	last := (addr + size + PageSize - 1) / PageSize
 	for p := first; p < last; p++ {
@@ -77,6 +80,7 @@ func (m *Memory) Map(addr, size uint64, perm Perm) {
 // Protect changes permissions on pages covering [addr, addr+size) that are
 // already mapped. It reports whether every page in the range was mapped.
 func (m *Memory) Protect(addr, size uint64, perm Perm) bool {
+	m.gen++
 	first := addr / PageSize
 	last := (addr + size + PageSize - 1) / PageSize
 	ok := true
@@ -140,7 +144,7 @@ func (m *Memory) WriteBytes(addr uint64, data []byte) error {
 			return err
 		}
 		if pg.perm&PermExec != 0 {
-			m.codeGen++
+			m.gen++
 		}
 		off := int((addr + uint64(i)) % PageSize)
 		c := copy(pg.data[off:], data[i:])
@@ -159,6 +163,10 @@ func (m *Memory) WriteBytesForce(addr uint64, data []byte, perm Perm) {
 		if !ok {
 			pg = &page{perm: perm}
 			m.pages[pnum] = pg
+			m.gen++
+		}
+		if pg.perm&PermExec != 0 {
+			m.gen++
 		}
 		off := int((addr + uint64(i)) % PageSize)
 		c := copy(pg.data[off:], data[i:])
@@ -201,7 +209,7 @@ func (m *Memory) Write(addr uint64, v uint64, size int) error {
 			return err
 		}
 		if pg.perm&PermExec != 0 {
-			m.codeGen++
+			m.gen++
 		}
 		for i := 0; i < size; i++ {
 			pg.data[off+i] = byte(v >> (8 * i))

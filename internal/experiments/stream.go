@@ -388,24 +388,25 @@ func runStreamCell(opts StreamOptions, spec cellSpec) (StreamRow, error) {
 const streamMaxSteps = 80_000_000
 
 // streamOutputStable enforces the generator's validation contract per cell:
-// the cell's build must reproduce the plain build's output exactly. The
-// plain build comes from the store (shared with the cell's five sibling
-// cells); the two emulator replays are the per-cell ground-truth check.
+// the cell's build must reproduce the plain build's output exactly. Both
+// replays go through the store's run stage, so the plain reference runs
+// once per program (its five sibling cells share it), the Original cell's
+// build is the plain build itself, and a warm store replays nothing. The
+// comparison itself still happens for every cell.
 func streamOutputStable(opts StreamOptions, p benchprog.Program, bin *sbf.Binary) (bool, error) {
-	defer pipeline.TrackWall("emu-replay")()
 	plain, _, err := pipeline.BuildCtx(opts.Ctx, opts.Store, p, nil, opts.Seed)
 	if err != nil {
 		return false, fmt.Errorf("experiments: stream plain build %s: %w", p.Name, err)
 	}
-	ref, err := benchprog.RunOutput(plain, p, streamMaxSteps)
+	ref, _, err := pipeline.RunCtx(opts.Ctx, opts.Store, plain, p.Stdin, streamMaxSteps)
 	if err != nil {
 		return false, fmt.Errorf("experiments: stream plain run %s: %w", p.Name, err)
 	}
-	out, err := benchprog.RunOutput(bin, p, streamMaxSteps)
+	out, _, err := pipeline.RunCtx(opts.Ctx, opts.Store, bin, p.Stdin, streamMaxSteps)
 	if err != nil {
 		return false, fmt.Errorf("experiments: stream obf run %s: %w", p.Name, err)
 	}
-	return ref != "" && out == ref, nil
+	return ref.Stdout != "" && out.Stdout == ref.Stdout, nil
 }
 
 // renderStreamAggs renders the rolling aggregate table: one row per

@@ -80,6 +80,43 @@ func TestStreamTablesIdentical(t *testing.T) {
 	}
 }
 
+// TestStreamWarmReplaysNothing: a fresh store over a disk dir a cold
+// stream filled serves every output replay from disk — the emulator never
+// runs — and renders tables byte-identical to the cold ones.
+func TestStreamWarmReplaysNothing(t *testing.T) {
+	dir := t.TempDir()
+	pass := func() (*StreamRun, *pipeline.Store) {
+		d, err := pipeline.OpenDisk(dir, pipeline.DiskOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := streamTestOpts()
+		opts.Parallelism = 2
+		opts.Store = pipeline.NewStore().LimitMemory(6).WithDisk(d)
+		run, err := RunStream(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run, opts.Store
+	}
+	cold, coldStore := pass()
+	// The plain reference replays once per program, not once per cell.
+	if st := coldStore.Stats()[pipeline.StageRun]; st.Misses > int64(len(Configs())*cold.Programs) {
+		t.Errorf("cold run stage computed %d replays for %d programs x %d configurations",
+			st.Misses, cold.Programs, len(Configs()))
+	}
+	warm, warmStore := pass()
+	if st := warmStore.Stats()[pipeline.StageRun]; st.Misses != 0 || st.DiskHits == 0 {
+		t.Errorf("warm run stage: %d misses, %d disk hits; want 0 misses, >0 disk hits", st.Misses, st.DiskHits)
+	}
+	if warm.OutputFailures != 0 {
+		t.Errorf("warm pass: %d output-stability failures", warm.OutputFailures)
+	}
+	if warm.Table != cold.Table {
+		t.Errorf("warm table differs from cold\n%s", diffHint(cold.Table, warm.Table))
+	}
+}
+
 // TestStreamRowsOrdered pins the JSONL contract: one row per cell, emitted
 // in cell order regardless of worker interleaving, with the deterministic
 // fields populated per arm.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/nofreelunch/gadget-planner/internal/codegen"
 	"github.com/nofreelunch/gadget-planner/internal/expr"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
@@ -932,6 +933,14 @@ func encodeArtifact(st Stage, v any) ([]byte, bool) {
 			return nil, false
 		}
 		writeAttack(e, a)
+	case StageRun:
+		r, ok := v.(*codegen.RunResult)
+		if !ok || r == nil {
+			return nil, false
+		}
+		e.str(r.Stdout)
+		e.uv(r.ExitCode)
+		e.uv(r.Steps)
 	default:
 		return nil, false
 	}
@@ -965,6 +974,11 @@ func decodeArtifact(st Stage, data []byte) (v any, err error) {
 		v = m
 	case StagePlan:
 		v = readAttack(d)
+	case StageRun:
+		r := &codegen.RunResult{Stdout: d.str()}
+		r.ExitCode = d.uv()
+		r.Steps = d.uv()
+		v = r
 	default:
 		return nil, errCorrupt
 	}

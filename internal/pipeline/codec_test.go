@@ -2,9 +2,11 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
+	"github.com/nofreelunch/gadget-planner/internal/codegen"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
@@ -165,6 +167,41 @@ func TestBinaryAndCountCodecRoundTrip(t *testing.T) {
 	}
 }
 
+func TestRunCodecRoundTrip(t *testing.T) {
+	s := NewStore()
+	p := benchprog.Benchmarks()[0]
+	bin, err := Build(s, p, nil, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := RunCtx(context.Background(), s, bin, p.Stdin, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*codegen.RunResult{res, {}} {
+		enc1, ok := encodeArtifact(StageRun, r)
+		if !ok {
+			t.Fatal("run result did not encode")
+		}
+		v, err := decodeArtifact(StageRun, enc1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := v.(*codegen.RunResult); *got != *r {
+			t.Errorf("decoded run result %+v, want %+v", *got, *r)
+		}
+		enc2, _ := encodeArtifact(StageRun, v)
+		if !bytes.Equal(enc1, enc2) {
+			t.Error("re-encoded run result differs")
+		}
+		if len(enc1) > 0 {
+			if _, err := decodeArtifact(StageRun, enc1[:len(enc1)-1]); err == nil {
+				t.Error("truncated run result decoded")
+			}
+		}
+	}
+}
+
 // TestDecodeArtifactRejectsGarbage: decoding never panics and never
 // half-succeeds — malformed bytes are an error (which the disk tier turns
 // into a miss).
@@ -177,7 +214,7 @@ func TestDecodeArtifactRejectsGarbage(t *testing.T) {
 		{0xff, 0xff, 0xff},
 		enc[:len(enc)/2], // truncated
 	} {
-		for _, st := range []Stage{StageBuild, StageCount, StageExtract, StageMinimize, StagePlan} {
+		for _, st := range []Stage{StageBuild, StageCount, StageExtract, StageMinimize, StagePlan, StageRun} {
 			if _, err := decodeArtifact(st, data); err == nil && len(data) > 0 {
 				// Empty inputs can legitimately decode to empty
 				// collections for some stages; anything else must fail.

@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
+	"github.com/nofreelunch/gadget-planner/internal/codegen"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
 	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
@@ -116,6 +117,17 @@ func SkipSubsumeKey(extractKey string) string {
 func PlanKey(poolKey, goalName string, o planner.Options, payloadBase, verifySteps uint64, skipVerify bool) string {
 	return fmt.Sprintf("%s|p:%s|%s|base=%#x,steps=%d,verify=%t",
 		poolKey, goalName, o.Fingerprint(), payloadBase, verifySteps, !skipVerify)
+}
+
+// RunKey fingerprints one emulator replay of a binary: the binary's content
+// key (which covers its ISA tag and every code byte), the stdin bytes, and
+// the step cap (0 reads as codegen.Run's default).
+func RunKey(binKey string, stdin []byte, maxSteps uint64) string {
+	if maxSteps == 0 {
+		maxSteps = codegen.DefaultMaxSteps
+	}
+	sum := sha256.Sum256(stdin)
+	return fmt.Sprintf("%s|run:%s,steps=%d", binKey, hex.EncodeToString(sum[:16]), maxSteps)
 }
 
 // Build compiles (source, passes, seed) through the store.
@@ -228,4 +240,21 @@ func Extract(s *Store, bin *sbf.Binary, o gadget.Options) *gadget.Pool {
 		return gadget.Extract(bin, o), nil
 	})
 	return pool
+}
+
+// RunCtx replays a binary in the emulator through the store, so each
+// (binary, stdin, step cap) runs at most once per store and a warm disk
+// tier serves it without emulating. The emulator is deterministic, so the
+// cached result is the result a fresh run would produce. A run that fails,
+// including one that hits the step cap, is an error artifact and stays in
+// memory only. The result is a shared artifact: read-only by contract.
+func RunCtx(ctx context.Context, s *Store, bin *sbf.Binary, stdin []byte, maxSteps uint64) (*codegen.RunResult, Info, error) {
+	k := ""
+	if s != nil {
+		k = RunKey(s.BinaryKey(bin), stdin, maxSteps)
+	}
+	return DoCtx(ctx, s, StageRun, k, func() (*codegen.RunResult, error) {
+		defer TrackWall("emu-replay")()
+		return codegen.Run(bin, stdin, maxSteps)
+	})
 }

@@ -34,7 +34,9 @@ type Stage uint8
 
 // The pipeline stages, in chain order. StageEncode is the post-link
 // self-modification transform; StageCount is the classic gadget scan
-// (Fig. 1 / Table I), a side chain off the build artifact.
+// (Fig. 1 / Table I), a side chain off the build artifact; StageRun is an
+// emulator replay of a binary (the output-equivalence check), another side
+// chain off the build artifact.
 const (
 	StageBuild Stage = iota
 	StageEncode
@@ -42,11 +44,12 @@ const (
 	StageExtract
 	StageMinimize
 	StagePlan
+	StageRun
 	numStages
 )
 
 var stageNames = [numStages]string{
-	"build", "encode", "count", "extract", "minimize", "plan",
+	"build", "encode", "count", "extract", "minimize", "plan", "run",
 }
 
 // String names the stage as it appears in stats and BENCH_CACHE.json.
@@ -242,22 +245,33 @@ type Info struct {
 }
 
 // measured runs f under the same time/alloc accounting the pre-store
-// pipeline used per stage.
-func measured[T any](f func() (T, error)) (T, time.Duration, uint64, error) {
+// pipeline used per stage. A panic in f becomes the stage's error, an
+// ordinary error artifact: its key answers every later request with that
+// error instead of re-panicking, and a gate slot held around f is still
+// released.
+func measured[T any](st Stage, f func() (T, error)) (v T, d time.Duration, alloc uint64, err error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	v, err := f()
-	d := time.Since(start)
-	runtime.ReadMemStats(&after)
-	return v, d, after.TotalAlloc - before.TotalAlloc, err
+	defer func() {
+		if r := recover(); r != nil {
+			var zero T
+			v, err = zero, fmt.Errorf("pipeline: %s stage panicked: %v", st, r)
+		}
+		d = time.Since(start)
+		runtime.ReadMemStats(&after)
+		alloc = after.TotalAlloc - before.TotalAlloc
+	}()
+	v, err = f()
+	return
 }
 
 // Do returns the stage artifact for key, computing it at most once per
 // store. An empty key (or a nil store) bypasses memoization and computes
 // directly — callers use that for inputs that cannot be fingerprinted,
 // e.g. a closure-valued GadgetFilter. Errors are artifacts too: a failed
-// computation is cached and returned to every requester of the key.
+// (or panicking) computation is cached in memory and returned to every
+// requester of the key; it is never persisted.
 func Do[T any](s *Store, st Stage, key string, compute func() (T, error)) (T, Info, error) {
 	return DoCtx(context.Background(), s, st, key, compute)
 }
@@ -282,7 +296,7 @@ func DoCtx[T any](ctx context.Context, s *Store, st Stage, key string, compute f
 			gate = s.gate
 		}
 		gate.enter(st)
-		v, d, alloc, err := measured(compute)
+		v, d, alloc, err := measured(st, compute)
 		gate.exit(st)
 		if s != nil && key != "" {
 			c := &s.counters[st]
@@ -335,7 +349,7 @@ func DoCtx[T any](ctx context.Context, s *Store, st Stage, key string, compute f
 		}
 		served = servedCompute
 		var v T
-		v, e.compute, e.alloc, e.err = measured(compute)
+		v, e.compute, e.alloc, e.err = measured(st, compute)
 		e.val = v
 		c.misses.Add(1)
 		c.computeNs.Add(int64(e.compute))

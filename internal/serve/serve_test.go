@@ -229,3 +229,36 @@ func TestServerErrorPropagates(t *testing.T) {
 		t.Fatal("malformed binary served without error")
 	}
 }
+
+// TestPanickingRunReleasesJoiners: when the winner's Run panics, its call
+// is still retired and closed, so joiners return with an error instead of
+// blocking forever, and the next submitter of the key starts afresh.
+func TestPanickingRunReleasesJoiners(t *testing.T) {
+	srv := NewServer(pipeline.NewStore(), 1)
+	req := Request{Program: "crc", Op: OpCount}
+	key, err := req.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &call{done: make(chan struct{})}
+	srv.calls[key] = c
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the progress panic did not reach the winner")
+			}
+		}()
+		srv.execute(key, c, req, func(StageEvent) { panic("injected") })
+	}()
+	select {
+	case <-c.done:
+	default:
+		t.Fatal("joiners still blocked after the winner panicked")
+	}
+	if c.err == nil || c.result != nil {
+		t.Errorf("joiners see result %v, err %v; want an error", c.result, c.err)
+	}
+	if _, ok := srv.calls[key]; ok {
+		t.Error("the panicked call is still registered")
+	}
+}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -182,17 +183,29 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		enc.Encode(stageLine{Event: "stage", StageEvent: ev})
 		flush()
 	}
-	res, err := Run(s.baseContext(), s.store, s.par, req, progress)
-
-	c.result, c.err = res, err
-	s.mu.Lock()
-	delete(s.calls, key)
-	s.mu.Unlock()
-	close(c.done)
+	s.execute(key, c, req, progress)
 
 	enc.Encode(wallLine{Event: "wall", Buckets: pipeline.WallStats()})
-	s.writeFinal(enc, res, err)
+	s.writeFinal(enc, c.result, c.err)
 	flush()
+}
+
+// errRunPanicked is what joiners of a call see when the winner's Run
+// panicked instead of returning.
+var errRunPanicked = errors.New("serve: request execution panicked")
+
+// execute runs the winner's request into c. The call is retired and its
+// joiners released even if Run panics: they then read errRunPanicked, and
+// the panic propagates to the winner's handler.
+func (s *Server) execute(key string, c *call, req Request, progress func(StageEvent)) {
+	defer func() {
+		s.mu.Lock()
+		delete(s.calls, key)
+		s.mu.Unlock()
+		close(c.done)
+	}()
+	c.err = errRunPanicked
+	c.result, c.err = Run(s.baseContext(), s.store, s.par, req, progress)
 }
 
 func (s *Server) writeFinal(enc *json.Encoder, res *Result, err error) {
