@@ -5,7 +5,11 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/nofreelunch/gadget-planner/internal/benchprog"
+	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
+	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
+	"github.com/nofreelunch/gadget-planner/internal/subsume"
 )
 
 // diversePool assembles a pool with several producer shapes per register so
@@ -93,9 +97,10 @@ func TestDisabledCacheAgreement(t *testing.T) {
 	}
 }
 
-// BenchmarkSearch measures a full deep search over the diverse pool — the
-// planner hot path end to end (seeding, frontier batches, expansion,
-// dedup), without payload validation.
+// BenchmarkSearch measures full searches — seeding, frontier batches,
+// expansion, dedup — without payload validation: a deep search over the
+// diverse hand-built pool with the caches on and off, and the execve search
+// on a real rv64c LLVM-Obf pool, the kind that dominates served planning.
 func BenchmarkSearch(b *testing.B) {
 	r, err := buildPool(diverseGadgets)
 	if err != nil {
@@ -106,10 +111,25 @@ func BenchmarkSearch(b *testing.B) {
 		disable bool
 	}{{"cached", false}, {"seedpath", true}} {
 		b.Run(cfg.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				opts := Options{MaxPlans: 1 << 20, Candidates: 32, Parallelism: 1, DisableCache: cfg.disable}
 				Search(r, ExecveGoal(), opts)
 			}
 		})
 	}
+	b.Run("rv64c-llvm-queens", func(b *testing.B) {
+		prog, _ := benchprog.ByName("queens")
+		bin, err := benchprog.BuildISA(prog, obfuscate.LLVMObf(), 0, "rv64c")
+		if err != nil {
+			b.Fatal(err)
+		}
+		pool, _ := subsume.Minimize(gadget.Extract(bin, gadget.Options{ISA: bin.ISA}), subsume.Options{})
+		goal := GoalsForISA(bin.ISA)[0]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			Search(pool, goal, Options{Parallelism: 1})
+		}
+	})
 }

@@ -2,8 +2,11 @@ package planner
 
 import (
 	"encoding/binary"
+	"maps"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
@@ -106,16 +109,18 @@ func (idx *candidateIndex) candidatesFor(reg isa.Reg, uses map[int]int) []*gadge
 
 // keyInterner builds the search's dedup keys from interned IDs instead of
 // formatted strings: gadget shapes and value specs are mapped to dense
-// uint32s once, and a plan's key is the varint encoding of its sorted
-// shape multiset plus its sorted packed open requirements — structurally
-// the same identity as the old string key without the per-call formatting
-// and string sorting. Coordinator-only (scratch buffers are reused).
+// uint32s, and a plan's key is the varint encoding of its sorted shape
+// multiset plus its sorted packed open requirements.
+//
+// Expansion workers build keys concurrently without a lock on the hot path:
+// every pool gadget's shape is interned up front, and value specs, which
+// the search discovers as it goes, live in a copy-on-write table that only
+// a new spec locks. Spec IDs thus depend on which worker meets a spec
+// first, so key bytes may differ between runs, but key equality does not.
 type keyInterner struct {
-	shapeByGID []uint32 // gadget ID -> shape ID + 1 (0 = not yet interned)
-	shapeIDs   map[string]uint32
-	specIDs    map[specKey]uint32
-	scratch    []uint64
-	buf        []byte
+	shapeByGID []uint32 // gadget ID -> shape ID
+	specMu     sync.Mutex
+	specIDs    atomic.Pointer[map[specKey]uint32]
 }
 
 func newKeyInterner(pool *gadget.Pool) *keyInterner {
@@ -125,45 +130,43 @@ func newKeyInterner(pool *gadget.Pool) *keyInterner {
 			maxID = g.ID
 		}
 	}
-	return &keyInterner{
-		shapeByGID: make([]uint32, maxID+1),
-		shapeIDs:   make(map[string]uint32),
-		specIDs:    make(map[specKey]uint32),
+	ki := &keyInterner{shapeByGID: make([]uint32, maxID+1)}
+	shapeIDs := make(map[string]uint32)
+	for _, g := range pool.Gadgets {
+		s := gadgetShape(g)
+		if _, ok := shapeIDs[s]; !ok {
+			shapeIDs[s] = uint32(len(shapeIDs))
+		}
+		ki.shapeByGID[g.ID] = shapeIDs[s]
 	}
-}
-
-func (ki *keyInterner) shapeOf(g *gadget.Gadget) uint32 {
-	if id := ki.shapeByGID[g.ID]; id != 0 {
-		return id - 1
-	}
-	s := gadgetShape(g)
-	id, ok := ki.shapeIDs[s]
-	if !ok {
-		id = uint32(len(ki.shapeIDs))
-		ki.shapeIDs[s] = id
-	}
-	ki.shapeByGID[g.ID] = id + 1
-	return id
+	ki.specIDs.Store(&map[specKey]uint32{})
+	return ki
 }
 
 func (ki *keyInterner) specOf(s ValueSpec) uint32 {
 	k := canonSpecKey(s)
-	id, ok := ki.specIDs[k]
-	if !ok {
-		id = uint32(len(ki.specIDs))
-		ki.specIDs[k] = id
+	if id, ok := (*ki.specIDs.Load())[k]; ok {
+		return id
 	}
-	return id
+	ki.specMu.Lock()
+	defer ki.specMu.Unlock()
+	next := maps.Clone(*ki.specIDs.Load())
+	if _, ok := next[k]; !ok {
+		next[k] = uint32(len(next))
+		ki.specIDs.Store(&next)
+	}
+	return next[k]
 }
 
 // key returns the dedup key identifying a search state: the multiset of
 // gadget shapes plus the set of open requirements. Complete plans reduce to
-// the shape multiset, i.e. the interned form of Plan.Signature.
-func (ki *keyInterner) key(p *Plan) string {
-	rs := ki.scratch[:0]
+// the shape multiset, i.e. the interned form of Plan.Signature. The key is
+// built in w's buffers and valid until their next use.
+func (ki *keyInterner) key(p *Plan, w *worker) []byte {
+	rs := w.rs[:0]
 	for i := range p.Steps {
 		if g := p.Steps[i].G; g != nil {
-			rs = append(rs, uint64(ki.shapeOf(g)))
+			rs = append(rs, uint64(ki.shapeByGID[g.ID]))
 		}
 	}
 	nShapes := len(rs)
@@ -171,7 +174,7 @@ func (ki *keyInterner) key(p *Plan) string {
 	for _, r := range p.Open {
 		shape := uint64(0) // the Start step
 		if g := p.step(r.Step).G; g != nil {
-			shape = uint64(ki.shapeOf(g)) + 1
+			shape = uint64(ki.shapeByGID[g.ID]) + 1
 		}
 		// shape(24b) | reg(8b) | spec(32b): pools have far fewer than 2^24
 		// distinct shapes and a search sees far fewer than 2^32 specs.
@@ -179,12 +182,10 @@ func (ki *keyInterner) key(p *Plan) string {
 	}
 	reqs := rs[nShapes:]
 	slices.Sort(reqs)
-	buf := ki.buf[:0]
-	buf = binary.AppendUvarint(buf, uint64(nShapes))
+	buf := binary.AppendUvarint(w.buf[:0], uint64(nShapes))
 	for _, v := range rs {
 		buf = binary.AppendUvarint(buf, v)
 	}
-	ki.scratch = rs
-	ki.buf = buf
-	return string(buf)
+	w.rs, w.buf = rs, buf
+	return buf
 }

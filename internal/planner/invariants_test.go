@@ -1,8 +1,10 @@
 package planner
 
 import (
+	"slices"
 	"testing"
 
+	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
 )
 
@@ -136,5 +138,83 @@ func TestTimeoutReturnsGracefully(t *testing.T) {
 	// With a 1ns timeout the search must stop immediately and cleanly.
 	if !res.TimedOut && res.Expanded > 512 {
 		t.Errorf("timeout ignored: expanded=%d", res.Expanded)
+	}
+}
+
+// TestKeyIgnoresOrdering pins the fact resolveThreats relies on when it
+// keeps only the first consistent ordering of a successor: the search key
+// covers gadget shapes and open requirements, not Order or reach, so every
+// other ordering would be dropped as already visited. If ordering ever
+// enters the key, resolveThreats has to keep the alternatives again.
+func TestKeyIgnoresOrdering(t *testing.T) {
+	pool := poolFrom(t, classicGadgets)
+	var rax, rdi *gadget.Gadget
+	for _, g := range pool.Gadgets {
+		if g.JmpType == gadget.TypeSyscall {
+			continue
+		}
+		if rax == nil && clobbers(g, isa.RAX) {
+			rax = g
+		} else if rdi == nil && clobbers(g, isa.RDI) {
+			rdi = g
+		}
+	}
+	if len(pool.Syscalls) == 0 || rax == nil || rdi == nil {
+		t.Fatal("pool lacks the syscall, rax and rdi gadgets")
+	}
+	p := &Plan{
+		Steps:    []Step{{ID: 0}, {ID: 1, G: pool.Syscalls[0]}, {ID: 2, G: rax}, {ID: 3, G: rdi}},
+		Order:    [][2]int{{0, 1}, {0, 2}, {0, 3}, {2, 1}, {3, 1}},
+		Open:     []Requirement{{Step: 1, Reg: isa.RSI, Spec: ConstSpec(0)}, {Step: 2, Reg: isa.RBX, Spec: ArbitrarySpec()}},
+		goalStep: 1,
+	}
+	keys := newKeyInterner(pool)
+	var w worker
+	want := string(keys.key(p, &w))
+	for _, e := range [][2]int{{2, 3}, {3, 2}} {
+		q := p.Clone()
+		q.ensureReach()
+		before := append([]uint64(nil), q.reach...)
+		if !q.addOrder(e[0], e[1]) || slices.Equal(before, q.reach) {
+			t.Fatalf("edge %v did not change the ordering", e)
+		}
+		if got := string(keys.key(q, &w)); got != want {
+			t.Errorf("adding order edge %v changed the search key: resolveThreats keeps only the first ordering, which is wrong once ordering is part of the key", e)
+		}
+	}
+}
+
+// TestResolveThreatsRestoresDeadBranch hand-builds a plan whose demotion
+// branch dead-ends one threat deeper, so resolveThreats must roll that
+// branch back before it tries promotion. The result must be exactly the
+// ordering a clone-per-branch enumeration finds first.
+//
+// Steps: 1 consumer C, 2 producer P (clobbers rax, rbx), 3 A (clobbers rax),
+// 4 X (clobbers rbx), 5 Y. Links: X->Y on rbx, and the new link P->C on
+// rax. P threatens X->Y. Demoting P before X puts P < X < A < C, so A sits
+// inside P->C for good, a dead end. Promoting P after Y leaves A free to be
+// demoted before P.
+func TestResolveThreatsRestoresDeadBranch(t *testing.T) {
+	g := func(id int, clob ...isa.Reg) *gadget.Gadget { return &gadget.Gadget{ID: id, ClobRegs: clob} }
+	steps := []Step{{ID: 0}, {ID: 1, G: g(1)}, {ID: 2, G: g(2, isa.RAX, isa.RBX)},
+		{ID: 3, G: g(3, isa.RAX)}, {ID: 4, G: g(4, isa.RBX)}, {ID: 5, G: g(5)}}
+	order := [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {2, 1}, {4, 3}, {3, 1}, {4, 5}}
+	links := []Link{
+		{Producer: 4, Consumer: 5, Reg: isa.RBX, Spec: ArbitrarySpec()},
+		{Producer: 2, Consumer: 1, Reg: isa.RAX, Spec: ConstSpec(59)},
+	}
+	p := RestorePlan(steps, slices.Clone(order), links, nil, nil, 1)
+	if !resolveThreats(p, 2, 1) {
+		t.Fatal("no consistent ordering found")
+	}
+	// Promotion of P after Y, then demotion of A before P.
+	wantOrder := append(slices.Clone(order), [2]int{5, 2}, [2]int{3, 2})
+	if !slices.Equal(p.Order, wantOrder) {
+		t.Fatalf("order %v, want %v", p.Order, wantOrder)
+	}
+	want := RestorePlan(steps, wantOrder, links, nil, nil, 1)
+	want.ensureReach()
+	if !slices.Equal(p.reach, want.reach) {
+		t.Errorf("reach %v, want the closure of the final order %v", p.reach, want.reach)
 	}
 }

@@ -167,47 +167,35 @@ func stepEntryReqs(b *expr.Builder, g *gadget.Gadget) ([]regReq, bool) {
 		}
 	}
 
-	for _, cond := range g.Effect.Conds {
-		vc := classifyVars(cond)
-		if vc.other {
-			return nil, false // depends on unmodeled flag bits
-		}
-		// Every entry register the condition mentions must be controllable;
-		// the condition itself is re-instantiated and solved during
-		// concretization.
+	// control requires every entry register n mentions to be
+	// attacker-settable, reporting false if n depends on anything else
+	// (unmodeled flag bits, opaque variables).
+	control := func(n *expr.Node) bool {
+		vc := classifyVars(n)
 		for _, r := range vc.regs {
 			if !seen[r] {
 				seen[r] = true
 				reqs = append(reqs, regReq{r, ArbitrarySpec()})
 			}
 		}
+		return !vc.other
 	}
-
-	// Controlled-memory dereferences require every register in the address
-	// expression to be attacker-settable (the address is pinned to scratch
-	// payload memory at concretization).
-	for _, acc := range g.Effect.MemReads {
-		vc := classifyVars(acc.Addr)
-		if vc.other {
+	// Conditions passed through are re-instantiated and solved during
+	// concretization. Controlled-memory dereferences have their address
+	// pinned to scratch payload memory at concretization.
+	for _, cond := range g.Effect.Conds {
+		if !control(cond) {
 			return nil, false
 		}
-		for _, r := range vc.regs {
-			if !seen[r] {
-				seen[r] = true
-				reqs = append(reqs, regReq{r, ArbitrarySpec()})
-			}
+	}
+	for _, acc := range g.Effect.MemReads {
+		if !control(acc.Addr) {
+			return nil, false
 		}
 	}
 	for _, acc := range g.Effect.MemWrites {
-		vc := classifyVars(acc.Addr)
-		if vc.other {
+		if !control(acc.Addr) {
 			return nil, false
-		}
-		for _, r := range vc.regs {
-			if !seen[r] {
-				seen[r] = true
-				reqs = append(reqs, regReq{r, ArbitrarySpec()})
-			}
 		}
 	}
 
@@ -244,16 +232,4 @@ func clobbers(g *gadget.Gadget, reg isa.Reg) bool {
 		}
 	}
 	return false
-}
-
-// DebugProvides exposes provides for diagnostics and tests.
-func DebugProvides(b *expr.Builder, g *gadget.Gadget, r isa.Reg, spec ValueSpec) (int, bool) {
-	pr, ok := provides(b, g, r, spec)
-	return len(pr.entryReqs) + len(pr.demands), ok
-}
-
-// DebugStepReqs exposes stepEntryReqs for diagnostics and tests.
-func DebugStepReqs(b *expr.Builder, g *gadget.Gadget) (int, bool) {
-	reqs, ok := stepEntryReqs(b, g)
-	return len(reqs), ok
 }

@@ -251,30 +251,18 @@ func RestorePlan(steps []Step, order [][2]int, links []Link, open []Requirement,
 	}
 }
 
-// cloneWithOpen is Clone with the Open list replaced by a copy of rest.
-// The expansion hot path always drops the requirement it is resolving, so
-// cloning the parent's Open only to overwrite it would waste an allocation
-// and a copy per successor. Each slice is given a little spare capacity for
-// the appends that immediately follow (a new step, its ordering edges, the
-// causal link, the producer's entry requirements), so extending the clone
-// does not re-allocate.
-func (p *Plan) cloneWithOpen(rest []Requirement) *Plan {
-	q := &Plan{goalStep: p.goalStep}
-	q.Steps = make([]Step, len(p.Steps), len(p.Steps)+1)
-	copy(q.Steps, p.Steps)
-	q.Order = make([][2]int, len(p.Order), len(p.Order)+4)
-	copy(q.Order, p.Order)
-	q.Links = make([]Link, len(p.Links), len(p.Links)+1)
-	copy(q.Links, p.Links)
-	q.Open = make([]Requirement, len(rest), len(rest)+4)
-	copy(q.Open, rest)
-	if len(p.Demands) > 0 {
-		q.Demands = make([]SlotDemand, len(p.Demands), len(p.Demands)+2)
-		copy(q.Demands, p.Demands)
-	}
-	q.reach = make([]uint64, len(p.reach), len(p.reach)+1)
-	copy(q.reach, p.reach)
-	return q
+// cloneInto overwrites dst with a copy of p whose Open list is rest,
+// reusing dst's slices: the search builds every successor in a per-worker
+// scratch plan this way and clones only the ones it keeps.
+func (p *Plan) cloneInto(dst *Plan, rest []Requirement) {
+	dst.Steps = append(dst.Steps[:0], p.Steps...)
+	dst.Order = append(dst.Order[:0], p.Order...)
+	dst.Links = append(dst.Links[:0], p.Links...)
+	dst.Open = append(dst.Open[:0], rest...)
+	dst.Demands = append(dst.Demands[:0], p.Demands...)
+	dst.goalStep = p.goalStep
+	dst.reach = append(dst.reach[:0], p.reach...)
+	dst.demandKeys = nil
 }
 
 // specKey is a canonical map key for a ValueSpec, matching equalSpec: the

@@ -208,10 +208,13 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 		p      *Plan
 		cands  []*gadget.Gadget
 		specID uint32 // interned form of p.Open[0].Spec
+		succs  []keyedPlan
+		t      tally
 	}
 	var jobs []job
-	var succs [][]*Plan
-	var tallies []tally
+	// One scratch area per expansion worker; the coordinator borrows the
+	// first for its own keys between phases.
+	ws := make([]worker, opts.Parallelism)
 
 	done := false
 	for q.Len() > 0 && res.Expanded < opts.MaxNodes && !done {
@@ -241,15 +244,15 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 				opts.Trace(p)
 			}
 			if p.Complete() {
-				sig := sc.keys.key(p)
-				if found[sig] {
+				sig := sc.keys.key(p, &ws[0])
+				if found[string(sig)] {
 					continue
 				}
 				if opts.Validate != nil && !opts.Validate(p) {
 					res.Rejected++
 					continue
 				}
-				found[sig] = true
+				found[string(sig)] = true
 				res.Plans = append(res.Plans, p)
 				for _, g := range p.Chain() {
 					uses[g.ID]++
@@ -280,24 +283,24 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 			}
 		}
 
-		// Phase 2 (parallel): expand into index-addressed slots.
-		succs = append(succs[:0], make([][]*Plan, len(jobs))...)
-		tallies = append(tallies[:0], make([]tally, len(jobs))...)
-		runJobs(opts.Parallelism, len(jobs), func(i int) {
-			succs[i] = expand(sc, jobs[i].p, jobs[i].cands, jobs[i].specID, &tallies[i])
+		// Phase 2 (parallel): expand each job in place. Workers only read
+		// visited, which phase 3 writes after runJobs has returned.
+		runJobs(opts.Parallelism, len(jobs), func(w, i int) {
+			j := &jobs[i]
+			j.succs = expand(sc, j.p, j.cands, j.specID, visited, &ws[w], &j.t)
 		})
 
-		// Phase 3 (serial): merge successors in batch order.
+		// Phase 3 (serial): merge successors in batch order. Successors of
+		// one batch can share a key, so visited is checked again.
 		for i := range jobs {
-			total.lookups += tallies[i].lookups
-			for _, succ := range succs[i] {
-				key := sc.keys.key(succ)
-				if visited[key] {
+			total.lookups += jobs[i].t.lookups
+			for _, s := range jobs[i].succs {
+				if visited[s.key] {
 					continue
 				}
-				visited[key] = true
+				visited[s.key] = true
 				res.Generated++
-				heap.Push(&q, succ)
+				heap.Push(&q, s.p)
 			}
 		}
 	}
@@ -308,15 +311,16 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 	return res
 }
 
-// runJobs executes fn(0..n-1) on up to `workers` goroutines. With one
-// worker (or one job) it degenerates to a plain loop.
-func runJobs(workers, n int, fn func(int)) {
+// runJobs executes fn(w, i) for i in 0..n-1 on up to `workers` goroutines,
+// w being the index of the goroutine running the call. With one worker (or
+// one job) it degenerates to a plain loop.
+func runJobs(workers, n int, fn func(w, i int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -327,7 +331,7 @@ func runJobs(workers, n int, fn func(int)) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}
@@ -419,14 +423,37 @@ func seeds(sc *searchCtx, goal Goal, t *tally) ([]*Plan, int) {
 	return out, truncated
 }
 
-// expand generates successor plans for the first open requirement. It is
-// called from expansion workers: everything it touches is either owned by
-// the task (p, t, the successors it builds) or safe for concurrent reads
-// (the pool, the candidate slice, the provider cache).
-func expand(sc *searchCtx, p *Plan, cands []*gadget.Gadget, specID uint32, t *tally) []*Plan {
+// worker is one expansion goroutine's scratch: the successor under
+// construction and the buffers keys are built in.
+type worker struct {
+	succ Plan
+	rs   []uint64
+	buf  []byte
+}
+
+// keyedPlan is a new successor with the key its worker computed for it.
+type keyedPlan struct {
+	p   *Plan
+	key string
+}
+
+// expand generates successor plans for the first open requirement and
+// returns those whose key is not in visited. Each successor is built in the
+// worker's scratch plan and copied out only if its key is new. It is called
+// from expansion workers: everything it writes is owned by the task (p, t)
+// or the worker (w), and everything else it touches is safe for concurrent
+// reads (the pool, the candidate slice, the provider cache, the key
+// interner, visited).
+func expand(sc *searchCtx, p *Plan, cands []*gadget.Gadget, specID uint32, visited map[string]bool, w *worker, t *tally) []keyedPlan {
 	req := p.Open[0]
 	rest := p.Open[1:]
-	var succs []*Plan
+	succ := &w.succ
+	var out []keyedPlan
+	keep := func() {
+		if key := sc.keys.key(succ, w); !visited[string(key)] {
+			out = append(out, keyedPlan{succ.Clone(), string(key)})
+		}
+	}
 
 	// Candidate 1: reuse an existing step that already supplies this value.
 	for i := range p.Steps {
@@ -440,18 +467,21 @@ func expand(sc *searchCtx, p *Plan, cands []*gadget.Gadget, specID uint32, t *ta
 		if p.orderedBefore(req.Step, s.ID) {
 			continue // cannot be ordered before the consumer
 		}
+		var pr provideResult
 		if sp := linkedSpec(p, s.ID, req.Reg); sp != nil {
 			if !equalSpec(*sp, req.Spec) {
 				continue // the step is committed to a different value
 			}
-			succs = append(succs, applyProducer(p, rest, req, s.ID, provideResult{})...)
-			continue
+		} else {
+			var ok bool
+			if pr, ok = sc.cache.providesFor(s.G, req.Reg, req.Spec, specID, t); !ok {
+				continue
+			}
 		}
-		pr, ok := sc.cache.providesFor(s.G, req.Reg, req.Spec, specID, t)
-		if !ok {
-			continue
+		p.cloneInto(succ, rest)
+		if finishLink(succ, req, s.ID, pr) {
+			keep()
 		}
-		succs = append(succs, applyProducer(p, rest, req, s.ID, pr)...)
 	}
 
 	// Candidate 2: instantiate a new gadget step.
@@ -468,7 +498,7 @@ func expand(sc *searchCtx, p *Plan, cands []*gadget.Gadget, specID uint32, t *ta
 		if !usable {
 			continue
 		}
-		succ := p.cloneWithOpen(rest)
+		p.cloneInto(succ, rest)
 		id := len(succ.Steps)
 		succ.Steps = append(succ.Steps, Step{ID: id, G: g})
 		succ.addOrder(0, id)
@@ -479,12 +509,12 @@ func expand(sc *searchCtx, p *Plan, cands []*gadget.Gadget, specID uint32, t *ta
 		for _, rq := range selfReqs {
 			succ.Open = append(succ.Open, Requirement{Step: id, Reg: rq.reg, Spec: rq.spec})
 		}
-		if more := finishLink(succ, req, id, pr); len(more) > 0 {
-			succs = append(succs, more...)
+		if finishLink(succ, req, id, pr) {
+			keep()
 			taken++
 		}
 	}
-	return succs
+	return out
 }
 
 // linkedSpec returns the spec a step is already committed to supply for reg.
@@ -497,16 +527,10 @@ func linkedSpec(p *Plan, step int, reg isa.Reg) *ValueSpec {
 	return nil
 }
 
-// applyProducer links an existing step as the producer for req.
-func applyProducer(p *Plan, rest []Requirement, req Requirement, producer int, pr provideResult) []*Plan {
-	return finishLink(p.cloneWithOpen(rest), req, producer, pr)
-}
-
 // finishLink installs the causal link and the producer's own new
-// requirements and demands, then resolves threats. Because each threat can
-// be resolved by demotion or promotion, the result is a (possibly empty)
-// set of consistent successor plans.
-func finishLink(succ *Plan, req Requirement, producer int, pr provideResult) []*Plan {
+// requirements and demands, then resolves threats, reporting whether the
+// plan could be made consistent.
+func finishLink(succ *Plan, req Requirement, producer int, pr provideResult) bool {
 	for _, rq := range pr.entryReqs {
 		succ.Open = append(succ.Open, Requirement{Step: producer, Reg: rq.reg, Spec: rq.spec})
 	}
@@ -515,11 +539,11 @@ func finishLink(succ *Plan, req Requirement, producer int, pr provideResult) []*
 		succ.addDemand(d)
 	}
 	if !succ.addOrder(producer, req.Step) {
-		return nil
+		return false
 	}
 	link := Link{Producer: producer, Consumer: req.Step, Reg: req.Reg, Spec: req.Spec}
 	succ.Links = append(succ.Links, link)
-	return resolveThreats(succ, producer, len(succ.Links)-1, 2)
+	return resolveThreats(succ, producer, len(succ.Links)-1)
 }
 
 // firstUnresolvedThreat finds a step that clobbers some link's register and
@@ -563,27 +587,29 @@ func firstUnresolvedThreat(p *Plan, producer, newLink int) (threat int, link Lin
 	return 0, Link{}, false
 }
 
-// resolveThreats enumerates consistent orderings protecting every causal
-// link, branching on demotion (threat before producer) versus promotion
-// (threat after consumer), up to limit plans. producer and newLink scope
-// the threat scan to the pairs the enclosing finishLink could have
-// endangered (see firstUnresolvedThreat).
-func resolveThreats(p *Plan, producer, newLink, limit int) []*Plan {
+// resolveThreats orders p so that no step threatens a causal link, in
+// place: depth-first over the threats, each resolved by demotion (threat
+// before producer) or else promotion (threat after consumer), a dead branch
+// rolled back before the next is tried. It keeps the first consistent
+// ordering and reports whether there was one. Only the first is needed:
+// alternative orderings give plans with the same search key (which covers
+// shapes and open requirements, not Order), and the search explores one
+// plan per key. producer and newLink scope the threat scan to the pairs the
+// enclosing finishLink could have endangered (see firstUnresolvedThreat).
+func resolveThreats(p *Plan, producer, newLink int) bool {
 	t, l, found := firstUnresolvedThreat(p, producer, newLink)
 	if !found {
-		return []*Plan{p}
+		return true
 	}
-	var out []*Plan
-	if q := p.Clone(); q.addOrder(t, l.Producer) {
-		out = append(out, resolveThreats(q, producer, newLink, limit)...)
-	}
-	if len(out) < limit {
-		if q := p.Clone(); q.addOrder(l.Consumer, t) {
-			out = append(out, resolveThreats(q, producer, newLink, limit-len(out))...)
+	var reach [maxOrderSteps]uint64
+	n := copy(reach[:], p.reach)
+	nOrder := len(p.Order)
+	for _, e := range [2][2]int{{t, l.Producer}, {l.Consumer, t}} {
+		if p.addOrder(e[0], e[1]) && resolveThreats(p, producer, newLink) {
+			return true
 		}
+		p.Order = p.Order[:nOrder]
+		p.reach = append(p.reach[:0], reach[:n]...)
 	}
-	if len(out) > limit {
-		out = out[:limit]
-	}
-	return out
+	return false
 }
