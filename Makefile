@@ -23,11 +23,11 @@ fmt:
 race:
 	$(GO) test -race -timeout 25m ./...
 
-# Micro-benchmarks: parallel extraction and minimization, and the planner
-# search with its allocations per op.
+# Micro-benchmarks: parallel minimization, then extraction, the syntactic
+# count, the assembler and the planner search with their allocations per op.
 bench:
-	$(GO) test -run xxx -bench 'Parallel' -benchtime 3x ./internal/gadget/ ./internal/subsume/
-	$(GO) test -run xxx -bench . -benchmem -benchtime 3x ./internal/planner/
+	$(GO) test -run xxx -bench 'Parallel' -benchtime 3x ./internal/subsume/
+	$(GO) test -run xxx -bench . -benchmem -benchtime 3x ./internal/gadget/ ./internal/asm/ ./internal/planner/
 
 # Solver triage benchmark; writes BENCH_SOLVER.json next to BENCH_PIPELINE.json.
 bench-solver:

@@ -83,9 +83,11 @@ func MustAssemble(src string, base uint64) *Result {
 }
 
 func parse(src string) ([]item, error) {
-	var items []item
-	for lineNo, rawLine := range strings.Split(src, "\n") {
-		line := rawLine
+	lines := strings.Split(src, "\n")
+	// Nearly every line holds one statement, so the line count sizes the
+	// item slice without regrowth.
+	items := make([]item, 0, len(lines))
+	for lineNo, line := range lines {
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
@@ -94,28 +96,24 @@ func parse(src string) ([]item, error) {
 			if stmt == "" {
 				continue
 			}
-			it, err := parseStmt(stmt, lineNo+1)
-			if err != nil {
+			var err error
+			if items, err = parseStmt(items, stmt, lineNo+1); err != nil {
 				return nil, err
 			}
-			items = append(items, it...)
 		}
 	}
 	return items, nil
 }
 
-func parseStmt(stmt string, line int) ([]item, error) {
+// parseStmt appends the items of one statement to items.
+func parseStmt(items []item, stmt string, line int) ([]item, error) {
 	// Label definition, possibly followed by nothing.
 	if i := strings.IndexByte(stmt, ':'); i >= 0 && !strings.ContainsAny(stmt[:i], " \t[") {
 		name := strings.TrimSpace(stmt[:i])
 		rest := strings.TrimSpace(stmt[i+1:])
-		items := []item{{label: name, line: line}}
+		items = append(items, item{label: name, line: line})
 		if rest != "" {
-			more, err := parseStmt(rest, line)
-			if err != nil {
-				return nil, err
-			}
-			items = append(items, more...)
+			return parseStmt(items, rest, line)
 		}
 		return items, nil
 	}
@@ -125,14 +123,14 @@ func parseStmt(stmt string, line int) ([]item, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []item{it}, nil
+		return append(items, it), nil
 	}
 
 	it, err := parseInst(stmt, line)
 	if err != nil {
 		return nil, err
 	}
-	return []item{it}, nil
+	return append(items, it), nil
 }
 
 func parseDirective(stmt string, line int) (item, error) {

@@ -206,7 +206,7 @@ func fakeSteps(name string) []symex.Step {
 	}
 	steps := make([]symex.Step, n)
 	for i := range steps {
-		steps[i] = symex.Step{Inst: isa.Inst{Op: isa.OpNop, Len: 1}}
+		steps[i] = symex.Step{Inst: &isa.Inst{Op: isa.OpNop, Len: 1}}
 	}
 	return steps
 }

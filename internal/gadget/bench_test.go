@@ -119,3 +119,16 @@ func BenchmarkSymexPaths(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCount measures the classic syntactic scan (predecode plus the
+// per-offset chain walk) on Tigress-obfuscated netperf-sim. The scan reads
+// the table by reference, so allocations per op are the table build's.
+func BenchmarkCount(b *testing.B) {
+	bin := tigressNetperf(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if gadget.TotalCount(gadget.Count(bin, 10)) == 0 {
+			b.Fatal("empty count")
+		}
+	}
+}

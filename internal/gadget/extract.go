@@ -160,7 +160,13 @@ func Extract(bin *sbf.Binary, opts Options) *Pool {
 	} else {
 		src = PredecodeISA(bin, opts.Parallelism, be)
 	}
+	return extractFrom(bin, opts, src)
+}
 
+// extractFrom is Extract's scan-and-merge over an already chosen
+// instruction source; opts must have its defaults applied.
+func extractFrom(bin *sbf.Binary, opts Options, src instSource) *Pool {
+	be := opts.backend()
 	var jobs []shardJob
 	chunkBytes := opts.Stride * chunkStrides
 	for _, sec := range bin.ExecSections() {
@@ -324,7 +330,8 @@ func (ei *effectImporter) effect(e *symex.Effect) *symex.Effect {
 // walker enumerates gadget paths from one shard's start offsets. It owns a
 // freelist of step buffers (capacity MaxInsts+1, so in-walk appends never
 // reallocate) that back both the main path and the copies forked at
-// conditional jumps; emit copies a completed path into its gadget, so the
+// conditional jumps. Steps point at the instruction source's entries
+// rather than copying them; emit copies what a kept gadget needs, so the
 // buffers recycle freely. One walker serves one shard — it is not safe for
 // concurrent use.
 type walker struct {
@@ -333,10 +340,6 @@ type walker struct {
 	sh    *shard
 	start uint64
 	free  [][]symex.Step
-	// scratch is the decode slot handed to instSource: the fetcher decodes
-	// into it, the table ignores it. Recursive walk calls reuse it, so any
-	// instruction needed after a recursion must be copied out first.
-	scratch isa.Inst
 }
 
 // getBuf returns an empty step buffer with capacity MaxInsts+1.
@@ -376,7 +379,7 @@ func (w *walker) found(steps []symex.Step, end symex.EndKind) {
 func (w *walker) walk(addr uint64, steps []symex.Step) {
 	forks, merges := 0, 0
 	for i := range steps {
-		switch in := &steps[i].Inst; {
+		switch in := steps[i].Inst; {
 		case in.Op == isa.OpJcc || in.Op == isa.OpBcc:
 			forks++
 		case in.Op == isa.OpJmp && in.A.Kind == isa.KindImm:
@@ -385,75 +388,72 @@ func (w *walker) walk(addr uint64, steps []symex.Step) {
 	}
 
 	for len(steps) < w.opts.MaxInsts {
-		inst, ok := w.src.inst(addr, &w.scratch)
+		inst, ok := w.src.inst(addr)
 		if !ok {
 			return
 		}
 
 		switch {
 		case inst.Op == isa.OpRet:
-			w.found(append(steps, symex.Step{Inst: *inst}), symex.EndRet)
+			w.found(append(steps, symex.Step{Inst: inst}), symex.EndRet)
 			return
 		case inst.Op == isa.OpSyscall:
-			w.found(append(steps, symex.Step{Inst: *inst}), symex.EndSyscall)
+			w.found(append(steps, symex.Step{Inst: inst}), symex.EndSyscall)
 			return
 		case inst.Op == isa.OpJmp && inst.A.Kind != isa.KindImm:
-			w.found(append(steps, symex.Step{Inst: *inst}), symex.EndJmpInd)
+			w.found(append(steps, symex.Step{Inst: inst}), symex.EndJmpInd)
 			return
 		case inst.Op == isa.OpCall && inst.A.Kind != isa.KindImm:
-			w.found(append(steps, symex.Step{Inst: *inst}), symex.EndCallInd)
+			w.found(append(steps, symex.Step{Inst: inst}), symex.EndCallInd)
 			return
 		case inst.Op == isa.OpJalr:
 			// RISC-V jalr with a non-{x0,ra} link register: indirect jump
 			// that also deposits a return address.
-			w.found(append(steps, symex.Step{Inst: *inst}), symex.EndJmpInd)
+			w.found(append(steps, symex.Step{Inst: inst}), symex.EndJmpInd)
 			return
 		case inst.Op == isa.OpJmp: // direct: merge with the target gadget
 			if merges >= w.opts.MaxMerges {
-				w.found(append(steps, symex.Step{Inst: *inst}), symex.EndJmpDir)
+				w.found(append(steps, symex.Step{Inst: inst}), symex.EndJmpDir)
 				return
 			}
 			merges++
-			steps = append(steps, symex.Step{Inst: *inst})
+			steps = append(steps, symex.Step{Inst: inst})
 			addr = uint64(inst.A.Imm)
 		case inst.Op == isa.OpCall: // direct call: follow into the callee
 			if merges >= w.opts.MaxMerges {
 				return
 			}
 			merges++
-			steps = append(steps, symex.Step{Inst: *inst})
+			steps = append(steps, symex.Step{Inst: inst})
 			addr = uint64(inst.A.Imm)
 		case inst.Op == isa.OpJal: // RISC-V direct jump-and-link: follow it
 			if merges >= w.opts.MaxMerges {
 				return
 			}
 			merges++
-			steps = append(steps, symex.Step{Inst: *inst})
+			steps = append(steps, symex.Step{Inst: inst})
 			addr = uint64(inst.A.Imm)
 		case inst.Op == isa.OpJcc || inst.Op == isa.OpBcc:
 			if forks >= w.opts.MaxForks {
 				// Report the taken-terminal variant for counting, then stop.
-				w.found(append(steps, symex.Step{Inst: *inst, Taken: true}), symex.EndJmpDir)
+				w.found(append(steps, symex.Step{Inst: inst, Taken: true}), symex.EndJmpDir)
 				return
 			}
 			// Fork: the taken path continues at the target (Fig. 4c), the
 			// not-taken path falls through (Fig. 4b). The taken copy lives
-			// in a freelist buffer for the duration of its subtree. The jcc
-			// itself is copied out of the scratch slot, which the recursion
-			// below reuses.
-			jcc := *inst
+			// in a freelist buffer for the duration of its subtree.
 			taken := w.getBuf()
 			taken = append(taken, steps...)
-			taken = append(taken, symex.Step{Inst: jcc, Taken: true})
-			w.walk(uint64(jcc.A.Imm), taken)
+			taken = append(taken, symex.Step{Inst: inst, Taken: true})
+			w.walk(uint64(inst.A.Imm), taken)
 			w.putBuf(taken)
-			steps = append(steps, symex.Step{Inst: jcc, Taken: false})
-			addr = jcc.End()
+			steps = append(steps, symex.Step{Inst: inst, Taken: false})
+			addr = inst.End()
 			forks++
 		case inst.Op == isa.OpHlt || inst.Op == isa.OpInt3:
 			return // traps end the path unusably
 		default:
-			steps = append(steps, symex.Step{Inst: *inst})
+			steps = append(steps, symex.Step{Inst: inst})
 			addr = inst.End()
 		}
 	}
@@ -491,10 +491,12 @@ func mix64(h, v uint64) uint64 {
 }
 
 // emit runs symbolic execution on a complete path and records the gadget in
-// the shard if its semantics are supported. steps is walker scratch and is
-// copied into the gadget on success. The Table II record fields that depend
-// on builder node identity (ClobRegs/CtrlRegs) are filled at merge time,
-// after the effect is imported into the pool builder.
+// the shard if its semantics are supported. steps is walker scratch whose
+// instructions point into the instruction source; on success both are
+// copied — the instructions into one backing array owned by the gadget —
+// so a pool never keeps the predecode table alive. The Table II record
+// fields that depend on builder node identity (ClobRegs/CtrlRegs) are
+// filled at merge time, after the effect is imported into the pool builder.
 func (sh *shard) emit(start uint64, steps []symex.Step) {
 	// Paths that end in a direct jump are counted but not pooled: their
 	// next-RIP is a constant, so they cannot continue an attacker chain
@@ -522,11 +524,14 @@ func (sh *shard) emit(start uint64, steps []symex.Step) {
 		Location: start,
 		Len:      pathLen(steps),
 		JmpType:  Classify(steps, eff.End),
-		Steps:    append(make([]symex.Step, 0, len(steps)), steps...),
+		Steps:    make([]symex.Step, len(steps)),
 		Effect:   eff,
 	}
+	insts := make([]isa.Inst, len(steps))
 	for i := range steps {
-		in := &steps[i].Inst
+		in := &insts[i]
+		*in = *steps[i].Inst
+		g.Steps[i] = symex.Step{Inst: in, Taken: steps[i].Taken}
 		if in.Op == isa.OpJcc || in.Op == isa.OpBcc {
 			g.HasCond = true
 		}
@@ -578,13 +583,13 @@ func CountISA(bin *sbf.Binary, maxInsts int, be isa.Backend) map[JmpType]int {
 				if pos >= len(insts) {
 					break
 				}
-				inst := insts[pos]
+				inst := &insts[pos]
 				if inst.Len == 0 {
 					break
 				}
 				pos += int(inst.Len)
 				var jt JmpType
-				switch be.Classify(&inst) {
+				switch be.Classify(inst) {
 				case isa.ClassRet:
 					jt = TypeReturn
 				case isa.ClassSyscall:

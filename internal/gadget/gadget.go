@@ -84,7 +84,7 @@ func (g *Gadget) String() string {
 func (g *Gadget) StringOn(be isa.Backend) string {
 	s := fmt.Sprintf("%#x:", g.Location)
 	for _, st := range g.Steps {
-		s += " " + be.FormatInst(&st.Inst) + ";"
+		s += " " + be.FormatInst(st.Inst) + ";"
 	}
 	return s
 }
@@ -222,7 +222,7 @@ func (p *Pool) Canon() string {
 			g.ID, g.Location, g.Len, g.JmpType, g.Merged, g.HasCond, eff.StackDelta, eff.End)
 		sb.WriteString("  steps:")
 		for _, st := range g.Steps {
-			fmt.Fprintf(&sb, " [%#x %s", st.Inst.Addr, be.FormatInst(&st.Inst))
+			fmt.Fprintf(&sb, " [%#x %s", st.Inst.Addr, be.FormatInst(st.Inst))
 			if st.Inst.Op == isa.OpJcc || st.Inst.Op == isa.OpBcc {
 				fmt.Fprintf(&sb, " taken=%t", st.Taken)
 			}

@@ -196,8 +196,8 @@ func TestExtractJOPGadget(t *testing.T) {
 }
 
 func TestClassify(t *testing.T) {
-	jcc := symex.Step{Inst: isa.Inst{Op: isa.OpJcc}}
-	plain := symex.Step{Inst: isa.Inst{Op: isa.OpPop}}
+	jcc := symex.Step{Inst: &isa.Inst{Op: isa.OpJcc}}
+	plain := symex.Step{Inst: &isa.Inst{Op: isa.OpPop}}
 	tests := []struct {
 		steps []symex.Step
 		end   symex.EndKind

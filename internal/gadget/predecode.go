@@ -15,13 +15,14 @@ import (
 // (Options.NoPredecode, the benchmark A/B arm and the equivalence tests'
 // reference) re-invokes isa.Decode on every call.
 //
-// The pointer return avoids copying the ~88-byte Inst per lookup (the walk
-// touches one per step per path, and duffcopy dominated the profile). The
-// table returns a pointer into its shared array; the fetcher decodes into
-// *scratch and returns scratch. Either way the pointee must be treated as
-// read-only and is only valid until the next call with the same scratch.
+// The pointer return avoids copying the 88-byte Inst per lookup (the walk
+// touches one per step per path, and duffcopy dominated the profile); walk
+// steps keep the pointer itself. The table returns a pointer into its
+// shared array; the fetcher returns a freshly allocated Inst per call.
+// Either way the pointee is read-only and stays valid for as long as the
+// caller holds it.
 type instSource interface {
-	inst(addr uint64, scratch *isa.Inst) (*isa.Inst, bool)
+	inst(addr uint64) (*isa.Inst, bool)
 }
 
 // Table is the per-section predecode table: one isa.Inst per byte offset of
@@ -39,7 +40,7 @@ type instSource interface {
 // pure function of the section bytes, so the table — and everything walked
 // through it — is deterministic regardless of how many workers built it.
 //
-// Memory: one Inst (~88 bytes) per code byte. The corpus binaries measure
+// Memory: one Inst (88 bytes) per code byte. The corpus binaries measure
 // their code in tens to hundreds of KiB, so a table is a few MiB at most
 // and lives only for the duration of one extraction or count.
 type Table struct {
@@ -138,7 +139,7 @@ func (t *Table) finish() *Table {
 // inst returns the predecoded instruction at addr. Addresses outside every
 // executable section, and offsets whose bytes do not decode, report false —
 // exactly the cases where the legacy fetch-and-decode walk would stop.
-func (t *Table) inst(addr uint64, _ *isa.Inst) (*isa.Inst, bool) {
+func (t *Table) inst(addr uint64) (*isa.Inst, bool) {
 	if t.solo != nil {
 		if addr < t.soloAddr || addr >= t.soloEnd {
 			return nil, false
@@ -175,7 +176,7 @@ func (t *Table) inst(addr uint64, _ *isa.Inst) (*isa.Inst, bool) {
 // InstAt exposes table lookups for tests and the fuzz target pinning table
 // entries against direct isa.Decode calls.
 func (t *Table) InstAt(addr uint64) (isa.Inst, bool) {
-	in, ok := t.inst(addr, nil)
+	in, ok := t.inst(addr)
 	if !ok {
 		return isa.Inst{}, false
 	}
@@ -183,10 +184,10 @@ func (t *Table) InstAt(addr uint64) (isa.Inst, bool) {
 }
 
 // inst implements instSource on the legacy fetcher: resolve the section
-// slice, then decode into the caller's scratch slot. This is the reference
-// path the predecode table is pinned byte-identical against, and the
-// NoPredecode benchmark arm.
-func (f *fetcher) inst(addr uint64, scratch *isa.Inst) (*isa.Inst, bool) {
+// slice, then decode into a fresh Inst, since walk steps hold the pointer.
+// This is the reference path the predecode table is pinned byte-identical
+// against, and the NoPredecode benchmark arm; its speed does not matter.
+func (f *fetcher) inst(addr uint64) (*isa.Inst, bool) {
 	code := f.at(addr)
 	if code == nil {
 		return nil, false
@@ -195,6 +196,5 @@ func (f *fetcher) inst(addr uint64, scratch *isa.Inst) (*isa.Inst, bool) {
 	if err != nil {
 		return nil, false
 	}
-	*scratch = in
-	return scratch, true
+	return &in, true
 }

@@ -284,12 +284,13 @@ type Mem struct {
 	RIPRel   bool // [rip + disp]; Base/Index unused
 }
 
-// Operand is a single instruction operand.
+// Operand is a single instruction operand. Fields are ordered so the
+// 12-byte Mem packs against Kind and Reg: 24 bytes, not 32.
 type Operand struct {
 	Kind OperandKind
 	Reg  Reg
-	Imm  int64
 	Mem  Mem
+	Imm  int64
 }
 
 // RegOp returns a register operand.
@@ -324,19 +325,24 @@ func RIPOp(disp int32) Operand {
 //   - Direct jmp/call/jcc: A is KindImm holding the *absolute* target
 //     address (the decoder resolves rel8/rel32 displacements; the encoder
 //     converts back to a displacement using the instruction address).
+//
+// Field order keeps the four one-byte fields together ahead of the 8-byte
+// aligned ones, so an Inst is 88 bytes with no interior padding (the
+// predecode table holds one per code byte; TestLayout pins the size).
 type Inst struct {
 	Op   Op
 	Cond Cond  // condition for OpJcc, OpSetcc and OpBcc
 	Size uint8 // operand size in bytes: 1, 2, 4 or 8
+
+	// Len and Addr are decode metadata: the encoded length in bytes and the
+	// virtual address the instruction was decoded at.
+	Len  uint8
+	Addr uint64
+
 	A, B Operand
 	// C is the third operand of RISC-V three-operand forms (add rd, rs1,
 	// rs2/imm). KindNone for every x86-64 instruction.
 	C Operand
-
-	// Addr and Len are decode metadata: the virtual address the instruction
-	// was decoded at and its encoded length in bytes.
-	Addr uint64
-	Len  uint8
 }
 
 // IsBranch reports whether the instruction transfers control (ret, jmp, jcc,
@@ -367,5 +373,8 @@ func (i Inst) IsDirectBranch() bool {
 	}
 }
 
-// End returns the address of the byte just past this instruction.
-func (i Inst) End() uint64 { return i.Addr + uint64(i.Len) }
+// End returns the address of the byte just past this instruction. It takes
+// a pointer because the gadget walk, symex and the emulator call it once
+// per step through a *Inst, and a value receiver copies all 88 bytes there
+// even when inlined.
+func (i *Inst) End() uint64 { return i.Addr + uint64(i.Len) }

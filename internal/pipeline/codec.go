@@ -72,6 +72,24 @@ type dec struct {
 	buf []byte
 	off int
 	bad bool
+	// insts is the current backing chunk decoded gadget steps point into,
+	// so a warm pool read costs one allocation per instChunk instructions
+	// rather than one per step.
+	insts []isa.Inst
+}
+
+// instChunk is how many instructions one decoder backing chunk holds.
+const instChunk = 256
+
+// instSlots carves n zeroed instructions from the decoder's backing chunk,
+// starting a new chunk when the current one cannot fit them.
+func (d *dec) instSlots(n int) []isa.Inst {
+	if cap(d.insts)-len(d.insts) < n {
+		d.insts = make([]isa.Inst, 0, max(n, instChunk))
+	}
+	lo := len(d.insts)
+	d.insts = d.insts[:lo+n]
+	return d.insts[lo : lo+n : lo+n]
 }
 
 func (d *dec) fail() { d.bad = true }
@@ -428,7 +446,7 @@ func readOperand(d *dec) isa.Operand {
 	return o
 }
 
-func writeInst(e *enc, in isa.Inst) {
+func writeInst(e *enc, in *isa.Inst) {
 	e.u8(uint8(in.Op))
 	e.u8(uint8(in.Cond))
 	e.u8(in.Size)
@@ -439,8 +457,7 @@ func writeInst(e *enc, in isa.Inst) {
 	e.u8(in.Len)
 }
 
-func readInst(d *dec) isa.Inst {
-	var in isa.Inst
+func readInst(d *dec, in *isa.Inst) {
 	in.Op = isa.Op(d.u8())
 	in.Cond = isa.Cond(d.u8())
 	in.Size = d.u8()
@@ -449,7 +466,6 @@ func readInst(d *dec) isa.Inst {
 	in.C = readOperand(d)
 	in.Addr = d.uv()
 	in.Len = d.u8()
-	return in
 }
 
 func writeGadget(e *enc, r *exprReg, g *gadget.Gadget) {
@@ -486,8 +502,10 @@ func readGadget(d *dec, t *exprTab) *gadget.Gadget {
 	}
 	ns := d.count()
 	g.Steps = make([]symex.Step, ns)
+	insts := d.instSlots(ns)
 	for i := range g.Steps {
-		g.Steps[i] = symex.Step{Inst: readInst(d), Taken: d.bool()}
+		readInst(d, &insts[i])
+		g.Steps[i] = symex.Step{Inst: &insts[i], Taken: d.bool()}
 	}
 	g.Effect = readEffect(d, t)
 	nc := d.count()

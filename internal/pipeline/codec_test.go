@@ -68,7 +68,7 @@ func TestPoolCodecRoundTrip(t *testing.T) {
 			t.Fatalf("gadget %d: %d steps, want %d", i, len(d.Steps), len(g.Steps))
 		}
 		for j := range g.Steps {
-			if d.Steps[j] != g.Steps[j] {
+			if *d.Steps[j].Inst != *g.Steps[j].Inst || d.Steps[j].Taken != g.Steps[j].Taken {
 				t.Fatalf("gadget %d step %d differs", i, j)
 			}
 		}

@@ -117,7 +117,7 @@ func run(s *State, steps []Step) (*Effect, error) {
 // a conditional jump that is last terminates the gadget like a direct jump
 // (with its condition as a pre-condition).
 func (s *State) step(st *Step, last bool) error {
-	inst := &st.Inst
+	inst := st.Inst
 	next := inst.End()
 	size := inst.Size
 	if size == 0 {

@@ -137,8 +137,12 @@ func IsAttackerVar(name string) bool {
 
 // Step is one instruction on a chosen path. Taken matters only for
 // conditional jumps that are not the final instruction of the gadget.
+//
+// Inst is shared and read-only: during extraction it points into the
+// predecode table, and a pooled gadget's steps point at copies the pool
+// owns. Nothing may write through it.
 type Step struct {
-	Inst  isa.Inst
+	Inst  *isa.Inst
 	Taken bool
 }
 

@@ -25,7 +25,7 @@ func decodeSteps(t *testing.T, src string) []Step {
 		if err != nil {
 			t.Fatal(err)
 		}
-		steps = append(steps, Step{Inst: inst})
+		steps = append(steps, Step{Inst: &inst})
 		pos += int(inst.Len)
 	}
 	return steps
@@ -129,7 +129,7 @@ func TestConditionalGadgetTaken(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		steps = append(steps, Step{Inst: inst, Taken: true})
+		steps = append(steps, Step{Inst: &inst, Taken: true})
 		pos += int(inst.Len)
 	}
 	b := expr.NewBuilder()
@@ -325,7 +325,8 @@ func TestDifferentialAgainstEmulator(t *testing.T) {
 			continue
 		}
 		for i, inst := range insts {
-			steps = append(steps, Step{Inst: withAddr(inst, addrs[i], code, base)})
+			in := withAddr(inst, addrs[i], code, base)
+			steps = append(steps, Step{Inst: &in})
 		}
 
 		// Symbolic execution.
